@@ -14,7 +14,9 @@ provides the *fast* tier selected via ``SoCConfig.sim_engine``:
   objects as the scalar engine, preserving every float operation in
   scalar order, and falls back to the scalar helpers at barrier events
   (granularity-switch commits, tracker evictions, region-buffer
-  eviction settlements) that the vector path does not model.
+  eviction settlements, shared-counter admission scans) that the
+  vector path does not model.  Every scheme of the registry (all 13
+  of Table 5) has a fast path.
 
 Observable behavior is bit-for-bit identical to the scalar engine:
 ``RunResult.to_dict()`` payloads, metrics snapshots, golden-corpus
@@ -24,9 +26,11 @@ suites (``tests/integration/test_engine_parity.py``,
 oracle (``python -m repro check --engine fast``) enforce that claim.
 
 numpy is an *optional* extra (``pip install .[fast]``); the default
-runtime stays pure-stdlib.  When numpy is missing (or the
-``REPRO_FORCE_NO_NUMPY`` environment variable is set), a requested
-fast engine degrades to scalar with a :class:`RuntimeWarning`.
+runtime stays pure-stdlib.  A requested fast engine degrades to scalar
+in three cases, recorded as ``RunResult.engine_fallback``:
+``numpy_missing`` (numpy absent or the ``REPRO_FORCE_NO_NUMPY``
+environment variable set; also warned with a :class:`RuntimeWarning`),
+``banked_channel`` and ``tracing``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,15 @@ replacement replays precomputed :class:`~repro.engine_fast.tables.DeviceArena`
 windows through ONE loop that inlines the scalar engine's per-request
 work -- issue-window arithmetic, cache lookups, channel scheduling,
 tree walks, Eq. 1 MAC addressing -- while mutating the *same* state
-objects (cache sets, region buffer, granularity table, tracker) the
-scalar helpers would.
+objects (cache sets, region buffer, granularity table, tracker,
+subtree-root LRU, shared-counter LRU) the scalar helpers would.
+
+Every registry scheme maps onto one of seven loop modes.  Two of them
+carry options rather than new modes: a ``SubtreeRootCache``
+(BMF&Unused) is admitted before the walk and checked at its level
+inside both walk loops of ``conventional`` and ``ours``; ``adaptive``
+(64B/4KB MACs at level 0) reuses the table-driven ``ours`` resolution,
+and ``common_ctr`` skips the walk for chunks holding a shared counter.
 
 Bit-for-bit parity rules (enforced by tests/integration parity suites):
 
@@ -23,8 +30,11 @@ Bit-for-bit parity rules (enforced by tests/integration parity suites):
   replicated with local insertion-ordered dicts that mirror the scalar
   first-touch sequence;
 * rare barrier events -- tracker evictions, lazy granularity switches,
-  region-buffer eviction settlements -- are delegated to the scalar
-  helpers themselves, so unmodeled behavior cannot diverge.
+  shared-counter admission scans -- are delegated to the scalar
+  helpers themselves, so unmodeled behavior cannot diverge.  Region
+  eviction settlements are inlined (one channel transfer per owed
+  line, in scalar order) but still call the scheme's misprediction
+  feedback hook.
 """
 
 from __future__ import annotations
@@ -35,13 +45,56 @@ from typing import Callable, Optional, Sequence
 from repro.common.constants import CACHELINE_BYTES, CHUNK_BYTES, GRANULARITIES
 from repro.common.types import MetadataKind
 from repro.core import addressing, stream_part
-from repro.core.detector import merge_detection
+from repro.core.detector import detect_stream_partitions, merge_detection
 from repro.core.gran_table import TableEntry
 from repro.engine_fast import numpy_or_none, warn_scalar_fallback
 from repro.engine_fast.tables import build_arena
+from repro.schemes.base import RegionBuffer
 
 _GLEVEL = {g: i for i, g in enumerate(GRANULARITIES)}
 _FULL = stream_part.FULL_MASK
+
+
+#: ``RunResult.engine_fallback`` values: why :func:`prepare` declined.
+NUMPY_MISSING = "numpy_missing"
+BANKED_CHANNEL = "banked_channel"
+TRACING = "tracing"
+#: A scheme class outside the registry (e.g. a subclass overriding
+#: ``_process``): the fused loop only models the registry's classes.
+UNSUPPORTED_SCHEME = "unsupported_scheme"
+
+
+def _mode_of(scheme) -> Optional[str]:
+    """The fused-loop mode of a registry scheme (None for other classes)."""
+    from repro.schemes.adaptive import AdaptiveMacScheme
+    from repro.schemes.common_counters import CommonCountersScheme
+    from repro.schemes.conventional import ConventionalScheme, MacOnlyScheme
+    from repro.schemes.multigran import MultiGranularScheme
+    from repro.schemes.static import StaticGranularScheme
+    from repro.schemes.unsecure import UnsecureScheme
+
+    return {
+        UnsecureScheme: "unsecure",
+        MacOnlyScheme: "mac_only",
+        ConventionalScheme: "conventional",
+        StaticGranularScheme: "static",
+        MultiGranularScheme: "ours",
+        AdaptiveMacScheme: "adaptive",
+        CommonCountersScheme: "common_ctr",
+    }.get(type(scheme))
+
+
+def fallback_reason(scheme, soc_config) -> Optional[str]:
+    """Why a fast run of ``scheme`` would decline (None: it engages)."""
+    if numpy_or_none() is None:
+        return NUMPY_MISSING
+    if getattr(soc_config.memory, "banks", 0):
+        return BANKED_CHANNEL
+    if scheme.tracer:
+        return TRACING
+    if _mode_of(scheme) is None:
+        return UNSUPPORTED_SCHEME
+    return None
 
 
 def prepare(
@@ -50,54 +103,52 @@ def prepare(
     soc_config,
     device_configs: Sequence,
 ) -> Optional[Callable]:
-    """Build the fast run callable, or None when no fast path applies.
+    """Validate the fast path; return the run callable, or None.
 
-    ``None`` means "use the scalar loop": numpy missing (warned, since
-    the caller explicitly requested the fast engine), a banked channel,
-    tracing enabled, or a scheme variant the fused loop does not model
-    (subtree root caches).  The returned callable has the signature of
+    ``None`` means "use the scalar loop" for the reason
+    :func:`fallback_reason` names: numpy missing (warned, since the
+    caller explicitly requested the fast engine), a banked channel, or
+    tracing enabled.  Every registry scheme has a fast path.  The
+    returned callable has the signature of
     :func:`repro.sim.soc._run_loop` and may be invoked once per replay
-    phase (warmup and measured) -- the arenas are shared.
+    phase (warmup and measured); it builds the arenas on its first
+    call and shares them afterwards, so a caller that never runs it
+    (a windowed-only session) pays nothing.
     """
-    if numpy_or_none() is None:
-        warn_scalar_fallback("numpy is not installed")
+    reason = fallback_reason(scheme, soc_config)
+    if reason is not None:
+        if reason == NUMPY_MISSING:
+            warn_scalar_fallback("numpy is not installed")
         return None
-    if getattr(soc_config.memory, "banks", 0):
-        return None
-    if scheme.tracer:
-        return None
+    mode = _mode_of(scheme)
+    arenas = None
 
-    from repro.schemes.conventional import ConventionalScheme, MacOnlyScheme
-    from repro.schemes.multigran import MultiGranularScheme
-    from repro.schemes.static import StaticGranularScheme
-    from repro.schemes.unsecure import UnsecureScheme
+    def run(states, scheme, channel, sink=None):
+        nonlocal arenas
+        if arenas is None:
+            arenas = _build_arenas(traces, scheme, device_configs, mode)
+        _run_fast(states, scheme, channel, arenas, mode, sink)
 
-    kind = type(scheme)
-    if kind is UnsecureScheme:
-        mode = "unsecure"
-    elif kind is MacOnlyScheme:
-        mode = "mac_only"
-    elif kind is ConventionalScheme:
-        if scheme.subtree is not None:
-            return None
-        mode = "conventional"
-    elif kind is StaticGranularScheme:
-        mode = "static"
-    elif kind is MultiGranularScheme:
-        if scheme.subtree is not None:
-            return None
-        mode = "ours"
-    else:
-        return None
+    return run
 
+
+def _build_arenas(traces, scheme, device_configs, mode) -> list:
+    """One :class:`DeviceArena` per device, holding what ``mode`` reads."""
     geometry = scheme.geometry
+    subtree = getattr(scheme, "subtree", None)
+    subtree_level = subtree.level if subtree is not None else None
     arenas = []
     for i, (trace, cfg) in enumerate(zip(traces, device_configs)):
         kw = {}
         if mode == "mac_only":
             kw = dict(need_fine_mac=True)
-        elif mode == "conventional":
-            kw = dict(need_walk=True, need_fine_mac=True)
+        elif mode in ("conventional", "common_ctr"):
+            kw = dict(
+                need_walk=True,
+                need_fine_mac=True,
+                need_chunk_coords=mode == "common_ctr",
+                subtree_level=subtree_level,
+            )
         elif mode == "static":
             g = scheme.device_granularities.get(i, GRANULARITIES[0])
             kw = dict(
@@ -111,17 +162,21 @@ def prepare(
                 need_table=True,
                 need_chunk_coords=True,
                 need_fine_mac=not scheme.mac_multigranular,
+                subtree_level=subtree_level,
+            )
+        elif mode == "adaptive":
+            kw = dict(
+                need_walk=True,
+                need_fine_mac=True,
+                need_chunk_coords=True,
+                coarse_mac_base=scheme.coarse_mac_base,
             )
         arenas.append(
             build_arena(
                 trace.entries, i, cfg.dependent_loads, geometry, **kw
             )
         )
-
-    def run(states, scheme, channel, sink=None):
-        _run_fast(states, scheme, channel, arenas, mode, sink)
-
-    return run
+    return arenas
 
 
 def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
@@ -142,6 +197,8 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
     mode_conv = mode == "conventional"
     mode_static = mode == "static"
     mode_ours = mode == "ours"
+    mode_adaptive = mode == "adaptive"
+    mode_ctr = mode == "common_ctr"
 
     # -- channel: floats live in locals (authoritative), ints batched --
     ch_stats = channel.stats
@@ -177,30 +234,50 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
     dev_counts: list = [None] * n_dev
     last_device = -1
 
-    if mode_ours:
+    if mode_ours or mode_adaptive or mode_ctr:
+        tracker_observe = scheme.tracker.observe
+    if mode_ours or mode_adaptive:
+        # Table-driven resolution; Adaptive is Ours pinned to 64B/4KB
+        # MACs at level 0, with its table on-chip (no table traffic).
         table = scheme.table
         tentries = table._entries
-        tracker_observe = scheme.tracker.observe
         table_resolve = table.resolve
         record_detection = table.record_detection
         entry_by_chunk = table.entry_by_chunk
-        entry_line_addr = table.entry_line_addr
         record_event = stats.switching.record_event
-        charge = scheme.charge_switch_costs
-        mac_mg = scheme.mac_multigranular
+        charge = mode_adaptive or scheme.charge_switch_costs
         maxg = table.max_granularity
         cap512 = maxg >= GRANULARITIES[1]
         cap4k = maxg >= GRANULARITIES[2]
         cap32k = maxg >= GRANULARITIES[3]
+        charge_switch = scheme._charge_switch
+    if mode_ours:
+        mac_mg = scheme.mac_multigranular
+        entry_line_addr = table.entry_line_addr
         layouts: dict = {}
         chunk_layout = addressing._chunk_mac_layout
         table_access = scheme._table_access
-        charge_switch = scheme._charge_switch
-    if mode_ours or mode_static:
+    if mode_ours or mode_static or mode_adaptive:
         region_touch = scheme.region_buffer.touch
         written = scheme._written_chunks
         retains = scheme.retains_fine_macs
-        settle = scheme._settle_evictions
+        eviction_penalty = RegionBuffer.eviction_penalty
+        eviction_feedback = scheme._region_eviction_feedback
+        d_overfetch = 0
+    if mode_ctr:
+        shared = scheme._shared
+        admit_shared = scheme._admit
+        shared_hits = 0
+
+    # Subtree roots (BMF&Unused): an LRU of trusted level-``st_level``
+    # nodes; ``st_level`` -1 disables the walk-loop checks.
+    subtree = getattr(scheme, "subtree", None)
+    st_level = -1
+    if subtree is not None:
+        st_level = subtree.level
+        st_table = subtree._table
+        st_entries = subtree.entries
+        st_hits = st_admits = st_evicts = 0
     if mode_static:
         dev_gran = [
             scheme.device_granularities.get(i, GRANULARITIES[0])
@@ -322,7 +399,36 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                     mac_line = a.fine_mac_lines[cursor]
                 else:
                     mac_line = a.static_mac_lines[cursor]
-            else:  # ours
+            elif mode_ctr:
+                # Common counters: a fully streamed chunk evicted from
+                # the tracker claims an on-chip shared counter; the
+                # admission scan is a barrier (scalar _admit).
+                evs = tracker_observe(addr, int(cycle))
+                if evs:
+                    for ev in evs:
+                        if detect_stream_partitions(
+                            ev.entry.access_bits
+                        ) == _FULL:
+                            channel._free_at = free_at
+                            ch_stats.busy_cycles = busy
+                            ch_stats.queue_cycles = queue
+                            admit_shared(ev.entry.chunk_index, cycle, channel)
+                            free_at = channel._free_at
+                            busy = ch_stats.busy_cycles
+                            queue = ch_stats.queue_cycles
+                chunk = a.chunks[cursor]
+                if chunk in shared:
+                    # On-chip trusted counter: no walk at all.
+                    shared.move_to_end(chunk)
+                    shared_hits += 1
+                    hist[32768] = hist.get(32768, 0) + 1
+                    level = root_level
+                else:
+                    hist[64] = hist.get(64, 0) + 1
+                    level = 0
+                mac_line = a.fine_mac_lines[cursor]
+                region_gran = 64
+            else:  # ours / adaptive
                 # 1. tracker -> detector -> table "next" updates.
                 evs = tracker_observe(addr, int(cycle))
                 if evs:
@@ -333,7 +439,7 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                             ev.entry.access_bits,
                             censored=ev.reason == "capacity",
                         )
-                        if record_detection(chunk_e, bits_e):
+                        if record_detection(chunk_e, bits_e) and mode_ours:
                             channel._free_at = free_at
                             ch_stats.busy_cycles = busy
                             ch_stats.queue_cycles = queue
@@ -346,33 +452,34 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                             queue = ch_stats.queue_cycles
 
                 # 2. granularity-table read + lazy switching.
-                tl = a.table_lines[cursor]
-                line = tl // tc_lb
-                cset = tc_sets[line % tc_ns]
-                if line in cset:
-                    tc_hits += 1
-                    cset.move_to_end(line)
-                else:
-                    tc_miss += 1
-                    if len(cset) >= tc_w:
-                        _, vdirty = cset.popitem(last=False)
-                        if vdirty:
-                            tc_wb += 1
-                            t_tab += 64
-                            start = cycle if cycle > free_at else free_at
-                            free_at = start + occupancy
-                            busy += occupancy
-                            queue += start - cycle
-                            d_txns += 1
-                            d_bytes += 64
-                    cset[line] = False
-                    t_tab += 64
-                    start = cycle if cycle > free_at else free_at
-                    free_at = start + occupancy
-                    busy += occupancy
-                    queue += start - cycle
-                    d_txns += 1
-                    d_bytes += 64
+                if mode_ours:
+                    tl = a.table_lines[cursor]
+                    line = tl // tc_lb
+                    cset = tc_sets[line % tc_ns]
+                    if line in cset:
+                        tc_hits += 1
+                        cset.move_to_end(line)
+                    else:
+                        tc_miss += 1
+                        if len(cset) >= tc_w:
+                            _, vdirty = cset.popitem(last=False)
+                            if vdirty:
+                                tc_wb += 1
+                                t_tab += 64
+                                start = cycle if cycle > free_at else free_at
+                                free_at = start + occupancy
+                                busy += occupancy
+                                queue += start - cycle
+                                d_txns += 1
+                                d_bytes += 64
+                        cset[line] = False
+                        t_tab += 64
+                        start = cycle if cycle > free_at else free_at
+                        free_at = start + occupancy
+                        busy += occupancy
+                        queue += start - cycle
+                        d_txns += 1
+                        d_bytes += 64
 
                 chunk = a.chunks[cursor]
                 entry = tentries.get(chunk)
@@ -389,7 +496,8 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                         channel._free_at = free_at
                         ch_stats.busy_cycles = busy
                         ch_stats.queue_cycles = queue
-                        table_access(tl, True, cycle, channel)
+                        if mode_ours:
+                            table_access(tl, True, cycle, channel)
                         if charge:
                             charge_switch(event, cycle, channel)
                         free_at = channel._free_at
@@ -412,11 +520,20 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                     if is_write:
                         entry.written = True
                 hist[granularity] = hist.get(granularity, 0) + 1
-                level = _GLEVEL[granularity]
-                region_gran = granularity if mac_mg else 64
 
-                # 5-prep. merged + compacted MAC line (Eq. 1).
-                if mac_mg:
+                # 5-prep. walk level, data granularity and MAC line:
+                # Adaptive's per-page coarse MAC at level 0, or Ours'
+                # promoted level and merged + compacted MAC (Eq. 1).
+                if mode_adaptive:
+                    level = 0
+                    region_gran = granularity
+                    if granularity == 64:
+                        mac_line = a.fine_mac_lines[cursor]
+                    else:
+                        mac_line = a.coarse_mac_lines[cursor]
+                elif mac_mg:
+                    level = _GLEVEL[granularity]
+                    region_gran = granularity
                     bits = entry.current
                     if bits == _FULL and cap32k:
                         raw = a.chunk_mac_bases[cursor]
@@ -431,6 +548,8 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                         raw = a.chunk_mac_bases[cursor] + index * 8
                     mac_line = raw - raw % 64
                 else:
+                    level = _GLEVEL[granularity]
+                    region_gran = 64
                     mac_line = a.fine_mac_lines[cursor]
 
             # 3. data movement (region buffer above 64B granularity).
@@ -449,14 +568,25 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                     read_only=retains and chunk not in written,
                     is_write=is_write,
                 )
-                if victims:
-                    channel._free_at = free_at
-                    ch_stats.busy_cycles = busy
-                    ch_stats.queue_cycles = queue
-                    settle(victims, cycle, channel)
-                    free_at = channel._free_at
-                    busy = ch_stats.busy_cycles
-                    queue = ch_stats.queue_cycles
+                # Inline _settle_evictions: each owed line is one
+                # transfer, charged in the scalar order.
+                for victim in victims:
+                    data_lines, mac_lines = eviction_penalty(victim)
+                    if data_lines:
+                        d_overfetch += data_lines
+                        t_data += 64 * data_lines
+                    if mac_lines:
+                        t_mac += 64 * mac_lines
+                    owed = data_lines + mac_lines
+                    d_txns += owed
+                    d_bytes += 64 * owed
+                    for _ in range(owed):
+                        start = cycle if cycle > free_at else free_at
+                        free_at = start + occupancy
+                        busy += occupancy
+                        queue += start - cycle
+                    if data_lines:
+                        eviction_feedback(victim)
             t_data += 64
             start = cycle if cycle > free_at else free_at
             free_at = start + occupancy
@@ -466,10 +596,27 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
             d_bytes += 64
             data_ready = cycle if is_write else free_at + latency
 
-            # 4. counter walk from the promoted level.
+            # 4. counter walk from the promoted level; a cached
+            # subtree root is admitted first and stops the walk.
+            if st_level >= 0:
+                node = a.subtree_nodes[cursor]
+                if node in st_table:
+                    st_table.move_to_end(node)
+                else:
+                    if len(st_table) >= st_entries:
+                        st_table.popitem(last=False)
+                        st_evicts += 1
+                    st_table[node] = True
+                    st_admits += 1
             walk = a.walk
             if is_write:
                 for lvl in range(level, root_level):
+                    if lvl == st_level:
+                        node = a.subtree_nodes[cursor]
+                        if node in st_table:
+                            st_table.move_to_end(node)
+                            st_hits += 1
+                            break
                     node_addr = walk[lvl][cursor]
                     line = node_addr // m_lb
                     cset = m_sets[line % m_ns]
@@ -503,6 +650,12 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
                 ready = cycle
                 lw = 0
                 for lvl in range(level, root_level):
+                    if lvl == st_level:
+                        node = a.subtree_nodes[cursor]
+                        if node in st_table:
+                            st_table.move_to_end(node)
+                            st_hits += 1
+                            break
                     node_addr = walk[lvl][cursor]
                     line = node_addr // m_lb
                     cset = m_sets[line % m_ns]
@@ -659,6 +812,8 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
     stats.reads += d_reads
     stats.writes += d_writes
     stats.serialized_level_fetches += d_serialized
+    if mode_ours or mode_static or mode_adaptive:
+        stats.region_overfetch_lines += d_overfetch
     traffic = stats.traffic.bytes_by_kind
     traffic[MetadataKind.DATA] += t_data
     traffic[MetadataKind.COUNTER] += t_ctr
@@ -666,9 +821,15 @@ def _run_fast(states, scheme, channel, arenas, mode, sink=None) -> None:
     traffic[MetadataKind.GRAN_TABLE] += t_tab
     for g, count in hist.items():
         stats.granularity_hist.add(g, count)
-    if mode_ours:
+    if mode_ours or mode_adaptive:
         stats.switching.total_resolutions += res_total
         stats.switching.correct_predictions += res_corr
+    if mode_ctr:
+        scheme.shared_hits += shared_hits
+    if subtree is not None:
+        subtree.hits += st_hits
+        subtree.admissions += st_admits
+        subtree.evictions += st_evicts
     for i, dc in enumerate(dev_counts):
         if dc:
             group = stats.device(i)

@@ -6,8 +6,9 @@ Two consumers:
   :class:`DeviceArena` -- numpy-derived flat lists of every per-request
   quantity that is a pure function of the request address (tree-walk
   node addresses per level, fine-MAC line addresses, granularity-table
-  line addresses, chunk/partition coordinates, dependency draws) so the
-  fused loop never recomputes address algebra per request;
+  line addresses, coarse (4KB) MAC lines, subtree-root node indices,
+  chunk/partition coordinates, dependency draws) so the fused loop
+  never recomputes address algebra per request;
 * :mod:`repro.check.differential` (``--engine fast``) verifies whole
   windows of Eq. 1 / Eq. 4 observables at once via
   :func:`mac_observables` / :func:`counter_observables`, an independent
@@ -51,6 +52,7 @@ class DeviceArena:
         "walk", "fine_mac_lines", "table_lines",
         "chunks", "chunk_mac_bases", "partitions", "lines_in_partition",
         "static_mac_lines", "static_region_bases", "static_line_offsets",
+        "coarse_mac_lines", "subtree_nodes",
     )
 
     def __init__(self) -> None:
@@ -71,6 +73,10 @@ class DeviceArena:
         self.static_mac_lines: List[int] = []
         self.static_region_bases: List[int] = []
         self.static_line_offsets: List[int] = []
+        #: Adaptive's per-4KB-page MAC line (``coarse_mac_base + page*8``).
+        self.coarse_mac_lines: List[int] = []
+        #: Index of the subtree-root-level node covering each request.
+        self.subtree_nodes: List[int] = []
 
 
 def build_arena(
@@ -85,6 +91,8 @@ def build_arena(
     need_chunk_coords: bool = False,
     static_granularity: Optional[int] = None,
     static_max_granularity: Optional[int] = None,
+    coarse_mac_base: Optional[int] = None,
+    subtree_level: Optional[int] = None,
 ) -> DeviceArena:
     """Vectorize one device's per-request derived addresses."""
     np = numpy_or_none()
@@ -117,6 +125,11 @@ def build_arena(
             for level in range(geometry.root_level)
         ]
 
+    if subtree_level is not None:
+        arena.subtree_nodes = (
+            addrs // geometry.span_of_level(subtree_level)
+        ).tolist()
+
     lines = addrs >> 6
     if need_fine_mac:
         arena.fine_mac_lines = (
@@ -135,6 +148,10 @@ def build_arena(
         ).tolist()
         arena.partitions = ((addrs >> 9) & 63).tolist()
         arena.lines_in_partition = ((addrs >> 6) & 7).tolist()
+
+    if coarse_mac_base is not None:
+        raw = coarse_mac_base + (addrs // GRANULARITIES[2]) * MAC_BYTES
+        arena.coarse_mac_lines = (raw - (raw % CACHELINE_BYTES)).tolist()
 
     if static_granularity is not None and static_granularity != GRANULARITIES[0]:
         g = static_granularity

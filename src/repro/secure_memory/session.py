@@ -108,12 +108,17 @@ class EngineSession:
         # Engine dispatch mirrors simulate(): the fast tier serves
         # whole-window steps, the scalar core serves bounded windows.
         self._fast_run = None
+        self.engine_fallback: Optional[str] = None
         if getattr(config, "sim_engine", "scalar") == "fast":
             from repro.engine_fast import core as fast_core
 
             self._fast_run = fast_core.prepare(
                 self.traces, self.scheme, config, self.device_configs
             )
+            if self._fast_run is None:
+                self.engine_fallback = fast_core.fallback_reason(
+                    self.scheme, config
+                )
         self.engine = "fast" if self._fast_run is not None else "scalar"
 
         if warmup:
@@ -233,7 +238,7 @@ class EngineSession:
             and (requests is None or requests >= self.total_requests)
         ):
             # Batched ingestion: the whole window replays through the
-            # prebuilt arenas in one fused pass.
+            # fast arenas (built on first use) in one fused pass.
             self._fast_run(self.states, self.scheme, self.channel, sink=sink)
             self._core = None
         else:
@@ -312,7 +317,8 @@ class EngineSession:
             )
         if self._result is None:
             self._result = finalize_run(
-                self.states, self.scheme, self.channel, engine=self.engine
+                self.states, self.scheme, self.channel, engine=self.engine,
+                engine_fallback=self.engine_fallback,
             )
         return self._result
 

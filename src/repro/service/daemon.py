@@ -13,8 +13,8 @@ shards are single-threaded deterministic simulators, so serving a
 window inline is both the simplest and the only ordering that keeps
 per-tenant byte-parity.  Concurrency comes from interleaving *windows*
 of many tenants, and from batched ingestion -- a whole-run ``step`` on
-a fast shard replays through the prebuilt ``engine_fast`` arenas in a
-single fused pass.
+a fast shard replays through the ``engine_fast`` arenas (built on the
+first such step, never for windowed-only shards) in a single fused pass.
 
 Durability (``--state-dir``): every tenant gets an fsync'd
 ``repro-tenant/v1`` journal (:mod:`repro.service.store`) recording the

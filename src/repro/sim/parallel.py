@@ -107,6 +107,8 @@ class SlimRunResult(ResultView):
     metrics: Dict[str, object] = field(default_factory=dict)
     #: Execution tier that produced the run ("scalar" or "fast").
     engine: str = "scalar"
+    #: Why a requested fast run fell back (see ``RunResult``).
+    engine_fallback: Optional[str] = None
 
 
 def slim_result(result: AnyRunResult) -> "SlimRunResult":
@@ -121,6 +123,7 @@ def slim_result(result: AnyRunResult) -> "SlimRunResult":
         security_cache_misses=result.security_cache_misses,
         metrics=dict(result.metrics),
         engine=getattr(result, "engine", "scalar"),
+        engine_fallback=getattr(result, "engine_fallback", None),
     )
 
 

@@ -131,6 +131,10 @@ class RunResult(ResultView):
     #: of :meth:`ResultView.to_dict` -- both tiers are bit-identical,
     #: so the payload must not depend on which one produced it.
     engine: str = "scalar"
+    #: Why a requested fast run fell back to scalar
+    #: (:func:`repro.engine_fast.core.fallback_reason`); None when the
+    #: fast engine ran or was not requested.  Also outside ``to_dict``.
+    engine_fallback: Optional[str] = None
 
     @property
     def total_traffic_bytes(self) -> int:
@@ -169,12 +173,15 @@ def simulate(
     # (or None, falling back to the scalar loop -- results are
     # bit-identical either way, see docs/performance.md).
     fast_run = None
+    fallback = None
     if getattr(soc_config, "sim_engine", "scalar") == "fast":
         from repro.engine_fast import core as fast_core
 
         fast_run = fast_core.prepare(
             traces, scheme, soc_config, device_configs
         )
+        if fast_run is None:
+            fallback = fast_core.fallback_reason(scheme, soc_config)
     run_loop = fast_run if fast_run is not None else _run_loop
 
     if warmup:
@@ -198,6 +205,7 @@ def simulate(
     return finalize_run(
         states, scheme, channel,
         engine="fast" if fast_run is not None else "scalar",
+        engine_fallback=fallback,
     )
 
 
@@ -206,6 +214,7 @@ def finalize_run(
     scheme: ProtectionScheme,
     channel: MemoryChannel,
     engine: str = "scalar",
+    engine_fallback: Optional[str] = None,
 ) -> RunResult:
     """Settle a drained run and assemble its :class:`RunResult`.
 
@@ -250,6 +259,7 @@ def finalize_run(
         metrics=registry.snapshot(),
         trace=list(scheme.tracer.events()),
         engine=engine,
+        engine_fallback=engine_fallback,
     )
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro import engine_fast
 from repro.common.config import SoCConfig
+from repro.schemes.registry import SCHEME_NAMES
 from repro.sim.runner import run_scenario
 from repro.sim.scenario import selected_scenario
 
@@ -22,16 +23,8 @@ needs_numpy = pytest.mark.skipif(
     not engine_fast.fast_engine_available(), reason="needs numpy ([fast])"
 )
 
-#: Every scheme the fast engine supports, including both multigranular
-#: variants (full Ours and the counter-only ablation).
-PARITY_SCHEMES = (
-    "unsecure",
-    "mac_only",
-    "conventional",
-    "static_device",
-    "ours",
-    "multi_ctr_only",
-)
+#: The fast engine supports every Table-5 scheme, so parity covers all.
+PARITY_SCHEMES = SCHEME_NAMES
 
 
 def _payload(result) -> str:
@@ -57,6 +50,7 @@ class TestScenarioParity:
     @pytest.mark.parametrize("scheme", PARITY_SCHEMES)
     def test_payloads_byte_identical(self, both_runs, scheme):
         scalar, fast = both_runs
+        assert fast[scheme].engine == "fast"
         assert _payload(scalar[scheme]) == _payload(fast[scheme])
 
     @pytest.mark.parametrize("scheme", PARITY_SCHEMES)
@@ -68,25 +62,149 @@ class TestScenarioParity:
     @pytest.mark.parametrize("scheme", PARITY_SCHEMES)
     def test_metrics_snapshots_equal(self, both_runs, scheme):
         scalar, fast = both_runs
+        assert fast[scheme].engine == "fast"
         assert scalar[scheme].metrics == fast[scheme].metrics
 
-    def test_conventional_with_subtrees_falls_back(self):
-        # Subtree-filtered runs are outside the fast engine's supported
-        # envelope; a fast request silently degrades to scalar and the
-        # result is (trivially) identical.
+    def test_bmf_unused_engages_fast(self):
+        # Subtree-root caches are an option of the fused walk, not a
+        # fallback: the BMF&Unused scheme runs fast with its subtree
+        # LRU in the same final state as a scalar run.
         from repro.schemes.registry import build_scheme
         from repro.sim.soc import simulate
 
-        scenario = selected_scenario("cc1")
-        traces, footprint = scenario.build_traces(400.0, 0)
-        config = SoCConfig(sim_engine="fast")
-        scheme = build_scheme(
-            "bmf_unused", config, footprint_bytes=footprint
+        traces, footprint = selected_scenario("cc1").build_traces(400.0, 0)
+        subtrees = []
+        for engine in ("scalar", "fast"):
+            config = SoCConfig(sim_engine=engine)
+            scheme = build_scheme(
+                "bmf_unused", config, footprint_bytes=footprint
+            )
+            assert scheme.subtree is not None
+            result = simulate(traces, scheme, config)
+            assert result.engine == engine
+            assert result.engine_fallback is None
+            subtree = scheme.subtree
+            subtrees.append((
+                list(subtree._table), subtree.hits,
+                subtree.admissions, subtree.evictions,
+            ))
+        assert subtrees[0] == subtrees[1]
+        assert subtrees[1][1] > 0  # walks did stop at cached roots
+
+
+def _scheme_state(scheme) -> dict:
+    """Learned state a run leaves behind, for scalar/fast comparison."""
+    state = {
+        "caches": [
+            [list(s.items()) for s in cache._sets]
+            for cache in (
+                scheme.metadata_cache, scheme.mac_cache, scheme.table_cache
+            )
+        ],
+        "regions": list(scheme.region_buffer._regions.items()),
+    }
+    subtree = getattr(scheme, "subtree", None)
+    if subtree is not None:
+        state["subtree"] = (
+            list(subtree._table), subtree.hits,
+            subtree.admissions, subtree.evictions,
         )
-        if scheme.subtree is None:
-            pytest.skip("bmf_unused built without a subtree filter")
-        result = simulate(traces, scheme, config)
-        assert result.engine == "scalar"
+    if hasattr(scheme, "_shared"):
+        state["shared"] = (
+            list(scheme._shared), scheme.shared_hits, scheme.scans
+        )
+    if hasattr(scheme, "table"):
+        state["table"] = [
+            (chunk, vars(entry)) for chunk, entry in scheme.table.chunks()
+        ]
+    return state
+
+
+@needs_numpy
+class TestBarrierPaths:
+    """Traces built to drive the rare paths of the fused loop.
+
+    Device 0 (CPU) writes sparsely across many chunks (subtree-root
+    evictions in a small LRU), device 1 (GPU) write-streams twelve
+    chunks and then touches them sparsely (promoted regions left
+    partially covered: over-fetch settlements, misprediction
+    demotions, scale-downs), device 2 (NPU) streams whole chunks
+    several times (tracker ``full`` evictions: shared-counter
+    admission scans, lazy scale-up switches).
+    """
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        base, _ = selected_scenario("cc1").build_traces(300.0, 0)
+        chunk, line = 32768, 64
+        streams = [
+            (1.0, c * chunk + i * line, False)
+            for _ in range(3) for c in range(4) for i in range(512)
+        ]
+        promoted = [
+            (2.0, (8 + c) * chunk + i * line, True)
+            for c in range(12) for i in range(512)
+        ] + [
+            (2.0, (8 + c) * chunk + (i * 67 % 512) * line, k % 2 == 1)
+            for k in range(4) for c in range(12) for i in range(4)
+        ]
+        scattered = [
+            (9.0, (16 + (k * 7) % 40) * chunk + (k * 13 % 512) * line, True)
+            for k in range(600)
+        ]
+        return [
+            dataclasses.replace(trace, entries=tuple(entries))
+            for trace, entries in zip(base, (scattered, promoted, streams))
+        ]
+
+    @staticmethod
+    def _build(name, config):
+        from repro.schemes.conventional import ConventionalScheme
+        from repro.schemes.multigran import MultiGranularScheme
+        from repro.schemes.registry import build_scheme
+        from repro.subtree.bmf import SubtreeRootCache
+
+        region = 64 << 20
+        if name == "bmf_small":
+            return ConventionalScheme(
+                config, region, subtree=SubtreeRootCache(entries=4)
+            )
+        if name == "bmf_ours_small":
+            return MultiGranularScheme(
+                config, region, subtree=SubtreeRootCache(entries=4)
+            )
+        return build_scheme(name, config)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ours", "adaptive", "common_ctr", "bmf_small", "bmf_ours_small"],
+    )
+    @pytest.mark.parametrize("warmup", [False, True])
+    def test_rare_paths_match_scalar(self, traces, name, warmup):
+        from repro.sim.soc import simulate
+
+        runs = {}
+        for engine in ("scalar", "fast"):
+            config = SoCConfig(sim_engine=engine)
+            scheme = self._build(name, config)
+            result = simulate(traces, scheme, config, warmup=warmup)
+            assert result.engine == engine
+            runs[engine] = (result, _scheme_state(scheme))
+        (scalar, scalar_state), (fast, fast_state) = (
+            runs["scalar"], runs["fast"]
+        )
+        assert _payload(scalar) == _payload(fast)
+        assert scalar_state == fast_state
+        # The barrier paths really ran.
+        if name in ("ours", "adaptive", "bmf_ours_small"):
+            assert fast.metrics["switch.total"] > 0
+            assert fast.metrics["region.overfetch_lines"] > 0
+        if name == "common_ctr":
+            _, shared_hits, scans = fast_state["shared"]
+            assert shared_hits > 0 and scans > 0
+        if name.startswith("bmf"):
+            _, hits, _, evictions = fast_state["subtree"]
+            assert hits > 0 and evictions > 0
 
 
 @needs_numpy

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro import engine_fast
 from repro.common.config import SoCConfig
+from repro.schemes.registry import SCHEME_NAMES
 from repro.sim.scenario import selected_scenario
 
 pytestmark = pytest.mark.skipif(
@@ -65,14 +66,12 @@ def _simulate(traces, footprint, scheme_name, engine, warmup):
     return simulate(traces, scheme, config, warmup=warmup)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=39, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2),
     starts=st.tuples(*[st.integers(min_value=0, max_value=5000)] * 4),
     length=st.integers(min_value=1, max_value=300),
-    scheme=st.sampled_from(
-        ["unsecure", "mac_only", "conventional", "ours", "multi_ctr_only"]
-    ),
+    scheme=st.sampled_from(SCHEME_NAMES),
     warmup=st.booleans(),
 )
 def test_random_windows_bit_identical(seed, starts, length, scheme, warmup):

@@ -59,13 +59,15 @@ class TestConfigValidation:
 
 
 class TestScalarFallback:
-    def _tiny_run(self, config):
+    def _tiny_run(self, config, obs=None):
         from repro.schemes.registry import build_scheme
         from repro.sim.scenario import selected_scenario
         from repro.sim.soc import simulate
 
         traces, footprint = selected_scenario("cc1").build_traces(300.0, 3)
-        scheme = build_scheme("ours", config, footprint_bytes=footprint)
+        scheme = build_scheme(
+            "ours", config, footprint_bytes=footprint, obs=obs
+        )
         return simulate(traces, scheme, config)
 
     def test_missing_numpy_warns_and_matches_scalar(self, no_numpy):
@@ -73,8 +75,26 @@ class TestScalarFallback:
         with pytest.warns(RuntimeWarning, match="falling back to the scalar"):
             degraded = self._tiny_run(fast_cfg)
         assert degraded.engine == "scalar"
+        assert degraded.engine_fallback == "numpy_missing"
         scalar = self._tiny_run(SoCConfig())
+        assert scalar.engine_fallback is None
         assert degraded.to_dict() == scalar.to_dict()
+        assert "engine_fallback" not in degraded.to_dict()
+
+    def test_missing_numpy_reason_on_session(self, no_numpy):
+        from repro.secure_memory.session import EngineSession
+        from repro.sim.parallel import slim_result
+
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            session = EngineSession.from_params(
+                scheme="ours", engine="fast", duration=300.0
+            )
+        assert session.engine == "scalar"
+        assert session.engine_fallback == "numpy_missing"
+        session.run()
+        result = session.result()
+        assert result.engine_fallback == "numpy_missing"
+        assert slim_result(result).engine_fallback == "numpy_missing"
 
     def test_banked_channel_falls_back_silently(self):
         if not engine_fast.fast_engine_available():
@@ -87,12 +107,78 @@ class TestScalarFallback:
             warnings.simplefilter("error")  # no fallback warning expected
             result = self._tiny_run(banked)
         assert result.engine == "scalar"
+        assert result.engine_fallback == "banked_channel"
+
+    def test_tracing_falls_back_silently(self):
+        if not engine_fast.fast_engine_available():
+            pytest.skip("needs numpy")
+        from repro.obs.context import ObsContext
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fallback warning expected
+            result = self._tiny_run(
+                SoCConfig(sim_engine="fast"), obs=ObsContext.enabled()
+            )
+        assert result.engine == "scalar"
+        assert result.engine_fallback == "tracing"
+        assert result.trace  # the tracer really recorded the run
+
+    def test_engaged_fast_run_records_no_reason(self):
+        if not engine_fast.fast_engine_available():
+            pytest.skip("needs numpy")
+        result = self._tiny_run(SoCConfig(sim_engine="fast"))
+        assert result.engine == "fast"
+        assert result.engine_fallback is None
 
     def test_scalar_engine_never_imports_fast_core(self):
         # The scalar tier must stay importable/pure-stdlib: the simulate
         # dispatch only imports engine_fast.core when fast is requested.
         result = self._tiny_run(SoCConfig())
         assert result.engine == "scalar"
+        assert result.engine_fallback is None
+
+
+class TestLazyArenas:
+    """prepare() validates eagerly but builds arenas on the first run."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        if not engine_fast.fast_engine_available():
+            pytest.skip("needs numpy")
+        from repro.engine_fast import core
+
+        calls = []
+        real = core._build_arenas
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_build_arenas", counting)
+        return calls
+
+    def test_windowed_only_session_builds_no_arena(self, builds):
+        from repro.secure_memory.session import EngineSession
+
+        session = EngineSession.from_params(
+            scheme="adaptive", engine="fast", duration=300.0
+        )
+        assert session.engine == "fast"
+        while not session.done:
+            session.step(40)
+        session.result()
+        assert builds == []
+
+    def test_whole_run_step_builds_once(self, builds):
+        from repro.secure_memory.session import EngineSession
+
+        session = EngineSession.from_params(
+            scheme="adaptive", engine="fast", duration=300.0, warmup=True
+        )
+        assert builds == ["adaptive"]  # the warmup replay built them
+        session.run()
+        assert session.result().engine == "fast"
+        assert builds == ["adaptive"]  # the measured replay reused them
 
 
 class TestLayoutCache:
